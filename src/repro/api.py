@@ -175,6 +175,15 @@ class RunRequest:
                 "shards must be None, a positive domain count, 'per-gpu' "
                 f"or 'per-vp-group', got {self.shards!r}",
             )
+        if self.backend is not None:
+            from .backend import available_backends
+
+            known = [name for name, _ in available_backends()]
+            if self.backend not in known:
+                raise RequestError(
+                    "bad-value",
+                    f"unknown backend {self.backend!r}; known: {', '.join(known)}",
+                )
         if not self.tenant or not isinstance(self.tenant, str) or "\n" in self.tenant:
             raise RequestError(
                 "bad-value", f"tenant must be a non-empty line, got {self.tenant!r}"

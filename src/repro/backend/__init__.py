@@ -1,12 +1,11 @@
 """Pluggable execution backends behind a CLUDA-style API.
 
 Everything in SigmaVP that actually *executes* functional kernel work —
-allocations, H2D/D2H copies, launches, batched launches — routes through
-one :class:`ExecutionBackend` seam (the shape reikna's CLUDA gives CUDA
-and OpenCL).  Backends are name-keyed plugins: ``numpy`` is the
-reference per-launch path, ``numpy-batched`` (the default) adds stacked
-replication batching, and ``cupy`` runs on a real host GPU when cupy is
-installed.  Select with ``--backend`` / ``REPRO_BACKEND`` / ``backend=``
+allocations, H2D/D2H copies, launches — routes through one
+:class:`ExecutionBackend` seam (the shape reikna's CLUDA gives CUDA and
+OpenCL).  Backends are name-keyed plugins: ``numpy`` (the default) is
+the reference per-launch path, and ``cupy`` runs on a real host GPU
+when cupy is installed.  Select with ``--backend`` / ``REPRO_BACKEND`` / ``backend=``
 on the scenario entry points; list with ``repro backends``.
 """
 
@@ -29,7 +28,7 @@ from .registry import (
 
 # Importing the modules registers the built-in backends.
 from .cupy_backend import CupyBackend
-from .numpy_backend import NumpyBackend, NumpyBatchedBackend, stacked_rows
+from .numpy_backend import NumpyBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -39,7 +38,6 @@ __all__ = [
     "CupyBackend",
     "ExecutionBackend",
     "NumpyBackend",
-    "NumpyBatchedBackend",
     "available_backends",
     "backend_from_config",
     "backend_from_env",
@@ -50,5 +48,4 @@ __all__ = [
     "make_backend",
     "register_backend",
     "set_default_backend",
-    "stacked_rows",
 ]

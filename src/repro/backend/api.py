@@ -14,16 +14,12 @@ The contract
 * ``allocate`` / ``free`` — device-allocation accounting (tokens);
 * ``h2d`` / ``d2h`` — host-to-device and device-to-host transfers;
 * ``launch(signature, inputs, params)`` — run the functional kernel
-  registered under ``signature`` once;
-* ``launch_batched(signature, inputs_list, params)`` — run N member
-  calls as ONE stacked ``(N, ...)`` operation (warp-level-parallelism
-  style replication batching, arXiv 1501.01405), or return ``None`` to
-  ask the caller for the per-VP fallback;
+  registered under ``signature`` once; a coalesced launch of N members
+  is N of these calls (the dispatcher applies one per member);
 * ``synchronize`` — drain asynchronous device work (no-op for host
   backends);
-* capability flags — ``supports_batched`` (may serve
-  ``launch_batched``) and ``zero_copy`` (``h2d`` returns a view of the
-  host array rather than a private copy).
+* capability flag — ``zero_copy`` (``h2d`` returns a view of the host
+  array rather than a private copy).
 
 Zero-copy safety: a zero-copy ``h2d`` MUST return a **read-only** view
 (``view.flags.writeable = False``) so a functional kernel that mutates
@@ -53,7 +49,7 @@ class ExecutionBackend(abc.ABC):
     """One host execution resource behind the CLUDA-style seam.
 
     Subclasses implement the private ``_h2d``/``_d2h``/``_launch``
-    hooks (and optionally ``_launch_batched``/``_allocate``/``_free``);
+    hooks (and optionally ``_allocate``/``_free``);
     the public methods are template wrappers that enforce availability,
     keep the allocation ledger, and maintain the ``exec.backend_*``
     counters uniformly across every backend.
@@ -63,8 +59,6 @@ class ExecutionBackend(abc.ABC):
     name: ClassVar[str] = "abstract"
     #: One-line description for ``repro backends``.
     description: ClassVar[str] = ""
-    #: Whether ``launch_batched`` may serve stacked replication batches.
-    supports_batched: ClassVar[bool] = False
     #: Whether ``h2d`` returns a (read-only) view of the host array.
     zero_copy: ClassVar[bool] = False
 
@@ -99,7 +93,6 @@ class ExecutionBackend(abc.ABC):
     def capabilities(self) -> Dict[str, bool]:
         """The capability flags, JSON-ably."""
         return {
-            "supports_batched": self.supports_batched,
             "zero_copy": self.zero_copy,
             "available": self.available(),
         }
@@ -188,35 +181,15 @@ class ExecutionBackend(abc.ABC):
         self._count("launches")
         return out
 
+    # Kept only because the benchmark's traced run wraps it by name.
     def launch_batched(
         self,
         signature: str,
         inputs_list: Sequence[Tuple[Any, ...]],
         params: Optional[Dict[str, Any]] = None,
-    ) -> Optional[List[Any]]:
-        """Run N member calls as ONE stacked ``(N, ...)`` operation.
-
-        Returns per-member output rows, or ``None`` when this backend
-        cannot serve the batch — no capability, a non-batch-flagged
-        signature, no registered implementation, or failed stacking
-        preconditions.  ``None`` always means "take the per-VP
-        fallback", never an error.
-        """
-        if not self.supports_batched:
-            return None
-        if not self.registry.is_batched(signature):
-            return None
-        fn = self.registry.get(signature)
-        if fn is None:
-            return None
-        self.require_available()
-        rows = self._launch_batched(
-            fn, [tuple(inputs) for inputs in inputs_list], dict(params or {})
-        )
-        if rows is not None:
-            self._count("batched_launches")
-            self._count("batched_members", len(rows))
-        return rows
+    ) -> List[Optional[Any]]:
+        """Run N member calls, one :meth:`launch` each."""
+        return [self.launch(signature, inputs, params) for inputs in inputs_list]
 
     def synchronize(self) -> None:
         """Drain outstanding device work (host backends: no-op)."""
@@ -243,15 +216,6 @@ class ExecutionBackend(abc.ABC):
         self, fn: KernelFunction, inputs: List[Any], params: Dict[str, Any]
     ) -> Any:
         """Apply one registered kernel function to device inputs."""
-
-    def _launch_batched(
-        self,
-        fn: KernelFunction,
-        inputs_list: List[Tuple[Any, ...]],
-        params: Dict[str, Any],
-    ) -> Optional[List[Any]]:
-        """Stacked batch execution hook (default: not supported)."""
-        return None
 
     # -- observability ----------------------------------------------------
 

@@ -12,13 +12,12 @@ registered (``repro backends`` lists it) but reports
 from __future__ import annotations
 
 import importlib.util
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..kernels.functional import FunctionalRegistry, KernelFunction
 from .api import ExecutionBackend
-from .numpy_backend import stacked_rows
 from .registry import register_backend
 
 
@@ -28,7 +27,6 @@ class CupyBackend(ExecutionBackend):
 
     name = "cupy"
     description = "host-GPU execution via cupy (optional dependency)"
-    supports_batched = True
     zero_copy = False
 
     def __init__(self, registry: Optional[FunctionalRegistry] = None) -> None:
@@ -78,19 +76,6 @@ class CupyBackend(ExecutionBackend):
     ) -> Any:
         moved = [self._to_device(value) for value in inputs]
         return fn(*moved, **params)
-
-    def _launch_batched(
-        self,
-        fn: KernelFunction,
-        inputs_list: List[Tuple[Any, ...]],
-        params: Dict[str, Any],
-    ) -> Optional[List[Any]]:
-        cp = self._module()
-        moved = [
-            tuple(self._to_device(value) for value in inputs)
-            for inputs in inputs_list
-        ]
-        return stacked_rows(fn, moved, params, xp=cp, array_type=cp.ndarray)
 
     def synchronize(self) -> None:
         if self._cupy is not None:

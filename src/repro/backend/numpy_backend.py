@@ -1,16 +1,13 @@
-"""Reference numpy execution backends.
+"""Reference numpy execution backend.
 
-``NumpyBackend`` is the original per-launch path: zero-copy read-only
-views for H2D, a direct ``fn(*inputs, **params)`` per launch, no batch
-capability (so the dispatcher always takes the per-VP fallback — the
-path PR 3 proved digest-identical to batching).  ``NumpyBatchedBackend``
-layers the PR-3 stacked ``(N, ...)`` replication batching on top and is
-the process default.
+``NumpyBackend`` is the per-launch path and the process default:
+zero-copy read-only views for H2D and a direct ``fn(*inputs, **params)``
+per launch.  A coalesced launch of N members is N such calls.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -19,59 +16,12 @@ from .api import ExecutionBackend
 from .registry import register_backend
 
 
-def stacked_rows(
-    fn: KernelFunction,
-    inputs_list: List[Tuple[Any, ...]],
-    params: Dict[str, Any],
-    xp: Any = np,
-    array_type: Any = np.ndarray,
-) -> Optional[List[Any]]:
-    """Execute N member calls as ONE call over ``(N, ...)`` stacked inputs.
-
-    Returns the per-member output rows (views into the one stacked
-    result), or ``None`` when the preconditions for a well-defined batch
-    do not hold — mismatched argument counts, non-uniform shapes or
-    dtypes across members, or an implementation that does not preserve
-    the leading axis.  Callers treat ``None`` as "fall back to per-VP
-    execution", so this helper never guesses.
-
-    ``xp``/``array_type`` parametrize the array module (numpy by
-    default) so device backends with a numpy-compatible namespace (cupy)
-    reuse the identical precondition logic.
-    """
-    n_members = len(inputs_list)
-    if n_members == 0:
-        return None
-    first = inputs_list[0]
-    n_args = len(first)
-    if any(len(inputs) != n_args for inputs in inputs_list):
-        return None
-    if n_args == 0:
-        return None
-    for position in range(n_args):
-        arrays = [inputs[position] for inputs in inputs_list]
-        head = arrays[0]
-        if not all(isinstance(a, array_type) for a in arrays):
-            return None
-        if any(a.shape != head.shape or a.dtype != head.dtype for a in arrays):
-            return None
-    stacked = [
-        xp.stack([inputs[position] for inputs in inputs_list])
-        for position in range(n_args)
-    ]
-    out = fn(*stacked, **params)
-    if not isinstance(out, array_type) or out.ndim < 1 or out.shape[0] != n_members:
-        return None
-    return [out[i] for i in range(n_members)]
-
-
 @register_backend
 class NumpyBackend(ExecutionBackend):
     """Per-launch numpy execution with zero-copy read-only H2D views."""
 
     name = "numpy"
     description = "reference per-launch numpy execution (zero-copy views)"
-    supports_batched = False
     zero_copy = True
 
     def asarray(self, host: Any) -> np.ndarray:
@@ -92,20 +42,3 @@ class NumpyBackend(ExecutionBackend):
         self, fn: KernelFunction, inputs: List[Any], params: Dict[str, Any]
     ) -> Any:
         return fn(*inputs, **params)
-
-
-@register_backend
-class NumpyBatchedBackend(NumpyBackend):
-    """Numpy with stacked ``(N, ...)`` replication batching (PR-3 path)."""
-
-    name = "numpy-batched"
-    description = "numpy with stacked (N, ...) replication batching"
-    supports_batched = True
-
-    def _launch_batched(
-        self,
-        fn: KernelFunction,
-        inputs_list: List[Tuple[Any, ...]],
-        params: Dict[str, Any],
-    ) -> Optional[List[Any]]:
-        return stacked_rows(fn, inputs_list, params)

@@ -40,8 +40,8 @@ if TYPE_CHECKING:
 #: Environment variable selecting the process-default backend.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Built-in default: the PR-3 stacked-replication path (current behavior).
-DEFAULT_BACKEND_NAME = "numpy-batched"
+#: Built-in default: per-launch numpy execution.
+DEFAULT_BACKEND_NAME = "numpy"
 
 _BACKENDS: Dict[str, Tuple[Callable[..., "ExecutionBackend"], str]] = {}
 
@@ -96,7 +96,6 @@ def backend_status() -> List[Dict[str, Any]]:
                 "description": description,
                 "available": backend.available(),
                 "reason": backend.unavailable_reason(),
-                "supports_batched": backend.supports_batched,
                 "zero_copy": backend.zero_copy,
             }
         )

@@ -706,13 +706,12 @@ def _cmd_backends() -> None:
         rows.append((
             name + (" *" if name == default else ""),
             "yes" if status["available"] else "no",
-            "yes" if status["supports_batched"] else "no",
             "yes" if status["zero_copy"] else "no",
             status["description"] if status["available"]
             else status["reason"] or status["description"],
         ))
     print(render_table(
-        ["Backend", "Available", "Batched", "Zero-copy", "Description"],
+        ["Backend", "Available", "Zero-copy", "Description"],
         rows,
         title="Execution backends (* = process default)",
     ))

@@ -1,5 +1,12 @@
 """SigmaVP core: the paper's contribution (Fig. 2's host-side modules)."""
 
+from ..sched import (
+    EngineBacklog,
+    FIFOPolicy,
+    InterleavingPolicy,
+    SchedulingPolicy,
+    make_policy,
+)
 from .coalescing import CoalesceStats, KernelCoalescer, Triple
 from .dispatcher import DispatchStats, JobDispatcher, ServiceMode
 from .estimation import ExecutionAnalyzer, PowerEstimate, TimingEstimate
@@ -14,13 +21,6 @@ from .interleaving import (
 from .ipc import IPCManager, IPCTransport, SHARED_MEMORY, SOCKET, VPControl
 from .jobs import Job, JobKind, JobQueue
 from .profiler import ProfileRecord, Profiler
-from .rescheduler import (
-    EngineBacklog,
-    FIFOPolicy,
-    InterleavingPolicy,
-    SchedulingPolicy,
-    make_policy,
-)
 from .scenarios import (
     ScenarioResult,
     run_c_program,

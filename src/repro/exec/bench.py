@@ -32,13 +32,10 @@ Two observability additions ride on the same harness:
   must match for the comparison to be meaningful; otherwise it is
   skipped with a note).
 
-``cold=True`` (``repro bench --cold``) appends two more sections: the
-persistent **disk-cache** cold-start proof (memory-cold processes served
-from a shared on-disk artifact store, including corruption and
-whole-job-result modes) and the **batched-execution** proof (coalesced
-identical kernels dispatched as single stacked numpy calls, digest-equal
-to the per-VP fallback).  See :func:`_disk_section` and
-:func:`_batched_section`.
+``cold=True`` (``repro bench --cold``) appends the persistent
+**disk-cache** cold-start proof (memory-cold processes served from a
+shared on-disk artifact store, including corruption and
+whole-job-result modes).  See :func:`_disk_section`.
 
 Every bench also records a **timing** section
 (:func:`_timing_section`): the suite warm-serial with the vectorized
@@ -66,7 +63,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import cache as _cache
 from ..caching import cache_scope, clear_all_caches
-from ..kernels.functional import batching_scope
 from ..obs import farm_merged_metrics, farm_trace_sources, to_chrome_trace
 from ..obs.export import git_commit as _git_commit
 from .farm import (
@@ -121,17 +117,17 @@ QUICK_SUITE: List[FarmJob] = [
 ]
 
 
-#: Batched-execution proof suite: the same fig10/fig11 shapes as the
-#: pinned suite, run with ``functional=True`` so the registered numpy
-#: kernels actually execute and coalesced launches can vectorize.  The
-#: digests here are only compared batched-vs-fallback *within* the
-#: section (functional jobs are distinct jobs from timing-only ones).
-BATCHED_SUITE: List[FarmJob] = [
-    FarmJob(fn="repro.exec.jobs:fig10a_point", label="batched:fig10a:b8",
+#: Functional suite for the backend section: the same fig10/fig11
+#: shapes as the pinned suite, run with ``functional=True`` so the
+#: registered numpy kernels actually execute.  Its digests are only
+#: compared across backends *within* the section (functional jobs are
+#: distinct jobs from timing-only ones).
+FUNCTIONAL_SUITE: List[FarmJob] = [
+    FarmJob(fn="repro.exec.jobs:fig10a_point", label="functional:fig10a:b8",
             kwargs={"batch": 8, "n_programs": 32, "functional": True}),
-    FarmJob(fn="repro.exec.jobs:fig11_point", label="batched:fig11:BlackScholes",
+    FarmJob(fn="repro.exec.jobs:fig11_point", label="functional:fig11:BlackScholes",
             kwargs={"app": "BlackScholes", "n_vps": 8, "functional": True}),
-    FarmJob(fn="repro.exec.jobs:scenario_summary", label="batched:vectorAdd8",
+    FarmJob(fn="repro.exec.jobs:scenario_summary", label="functional:vectorAdd8",
             kwargs={"app": "vectorAdd", "n_vps": 8, "functional": True}),
 ]
 
@@ -460,53 +456,6 @@ def _disk_section(
     return section
 
 
-def _batched_section(suite: Sequence[FarmJob] = BATCHED_SUITE) -> Dict[str, Any]:
-    """Batched-execution section: vectorized coalesced launches.
-
-    Runs the functional fig10/fig11 suite twice — batching on (stacked
-    ``(N, …)`` single-dispatch numpy calls) and forced per-VP fallback —
-    under observability capture, and requires (a) a bit-identical digest
-    and (b) a non-zero ``exec.batched_launches`` count in the batched
-    run.  Capture also disables the job-result layer, so both runs truly
-    execute.
-    """
-    clear_all_caches()
-    batched = _run_mode(
-        ScenarioFarm(workers=1, warmup=False, capture_obs=True), suite
-    )
-    batched_totals = farm_merged_metrics(batched["results"])["totals"]
-    clear_all_caches()
-    with batching_scope(False):
-        fallback = _run_mode(
-            ScenarioFarm(workers=1, warmup=False, capture_obs=True), suite
-        )
-    fallback_totals = farm_merged_metrics(fallback["results"])["totals"]
-    if batched["digest"] != fallback["digest"]:
-        raise BenchDigestError(
-            "batched execution changed simulation results: "
-            f"{batched['digest'][:12]} != {fallback['digest'][:12]}"
-        )
-    counts = {
-        "batched_launches": _counter_total(batched_totals, "exec.batched_launches"),
-        "batched_members": _counter_total(batched_totals, "exec.batched_members"),
-        "fallback_launches":
-            _counter_total(fallback_totals, "exec.fallback_launches"),
-    }
-    if counts["batched_launches"] <= 0:
-        raise BenchDiskCacheError(
-            "batched-execution section dispatched zero batched launches"
-        )
-    return {
-        "jobs": [j.label for j in suite],
-        "counts": counts,
-        "modes": {
-            "batched": {k: v for k, v in batched.items() if k != "results"},
-            "fallback": {k: v for k, v in fallback.items() if k != "results"},
-        },
-        "identical_results": True,
-    }
-
-
 def _backend_section(
     suite: Optional[Sequence[FarmJob]] = None, quick: bool = False
 ) -> Dict[str, Any]:
@@ -518,20 +467,20 @@ def _backend_section(
     with the in-memory memos cleared between backends so each run truly
     executes.  Requires (a) bit-identical digests across every available
     backend (they are interchangeable run mechanics by contract), and
-    (b) non-zero ``exec.backend_*`` counters proving each backend served
-    the launches itself: batched launches for ``supports_batched``
-    backends, per-member launches otherwise.  Unavailable backends
+    (b) a non-zero ``exec.backend_launches`` counter proving each backend
+    served the launches itself.  Unavailable backends
     (``cupy`` without the package) are recorded under ``skipped`` with
     their reason — never an error.
     """
     from ..backend import available_backends, backend_scope, make_backend
 
     if suite is None:
-        suite = [BATCHED_SUITE[0], BATCHED_SUITE[2]] if quick else BATCHED_SUITE
+        suite = (
+            [FUNCTIONAL_SUITE[0], FUNCTIONAL_SUITE[2]] if quick else FUNCTIONAL_SUITE
+        )
     modes: Dict[str, Dict[str, Any]] = {}
     counters: Dict[str, Dict[str, int]] = {}
     skipped: List[Dict[str, str]] = []
-    batched_capable: Dict[str, bool] = {}
     for name, _description in available_backends():
         probe = make_backend(name)
         if not probe.available():
@@ -539,7 +488,6 @@ def _backend_section(
                 {"name": name, "reason": probe.unavailable_reason() or ""}
             )
             continue
-        batched_capable[name] = probe.supports_batched
         clear_all_caches()
         with backend_scope(name):
             mode = _run_mode(
@@ -548,9 +496,7 @@ def _backend_section(
         totals = farm_merged_metrics(mode["results"])["totals"]
         counters[name] = {
             counter: _counter_total(totals, f"exec.backend_{counter}")
-            for counter in (
-                "launches", "batched_launches", "batched_members", "h2d", "d2h"
-            )
+            for counter in ("launches", "h2d", "d2h")
         }
         modes[name] = mode
     digests = {name: mode["digest"] for name, mode in modes.items()}
@@ -560,14 +506,9 @@ def _backend_section(
             + ", ".join(f"{k}={v[:12]}" for k, v in digests.items())
         )
     for name, counts in counters.items():
-        served = (
-            counts["batched_launches"] if batched_capable[name]
-            else counts["launches"]
-        )
-        if served <= 0:
-            kind = "batched" if batched_capable[name] else "per-member"
+        if counts["launches"] <= 0:
             raise BenchBackendError(
-                f"backend {name!r} served zero {kind} launches — the "
+                f"backend {name!r} served zero launches — the "
                 f"functional suite never exercised it"
             )
     return {
@@ -845,10 +786,8 @@ def run_bench(
     verdict under ``report["trajectory_compare"]``.
 
     ``cold=True`` adds the persistent disk-cache cold-start section
-    (:func:`_disk_section`, against a private temporary store) and the
-    batched-execution section (:func:`_batched_section`) under
-    ``report["disk_cache"]`` and ``report["batched_execution"]``.  The
-    three standard modes always run with the disk tier *off* so their
+    (:func:`_disk_section`, against a private temporary store) under
+    ``report["disk_cache"]``.  The three standard modes always run with the disk tier *off* so their
     wall times keep measuring the in-memory paths of prior baselines.
 
     ``policy``/``placement`` thread registered scheduling stages through
@@ -964,8 +903,6 @@ def run_bench(
         report["disk_cache"] = _disk_section(
             suite, workers, cold_mode["digest"], warm["wall_s"]
         )
-        with _cache.disk_scope(False):
-            report["batched_execution"] = _batched_section()
     if overhead_guard:
         if baseline is None:
             baseline = resolve_baseline(
@@ -1046,9 +983,7 @@ def render_report(report: Dict[str, Any]) -> str:
             counts = backend_section["counters"][name]
             lines.append(
                 f"  backend:{name:<16} {mode['wall_s']:8.2f} s "
-                f"({counts['launches']} launches, "
-                f"{counts['batched_launches']} batched covering "
-                f"{counts['batched_members']} members)"
+                f"({counts['launches']} launches)"
             )
         for skip in backend_section["skipped"]:
             lines.append(
@@ -1057,15 +992,6 @@ def render_report(report: Dict[str, Any]) -> str:
         lines.append(
             f"backend digests identical: "
             f"{backend_section['identical_results']}"
-        )
-    batched = report.get("batched_execution")
-    if batched:
-        counts = batched["counts"]
-        lines.append(
-            f"batched execution: {counts['batched_launches']} vectorized "
-            f"launches covering {counts['batched_members']} coalesced members "
-            f"(fallback run: {counts['fallback_launches']} per-VP groups); "
-            f"digests identical: {batched['identical_results']}"
         )
     sharding = report.get("sharding")
     if sharding:

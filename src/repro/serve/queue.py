@@ -73,7 +73,9 @@ class ServiceJob:
     """One submitted job's live record inside the daemon."""
 
     job_id: str
-    request: RunRequest
+    #: ``None`` only for a replayed job whose journaled request no
+    #: longer parses (it is FAULTED with the parse error).
+    request: Optional[RunRequest]
     tenant: str
     #: Effective QoS tier (request.qos, defaulted by the server config).
     qos: Optional[int]
@@ -110,11 +112,16 @@ class ServiceJob:
             "digest": self.digest,
             "error": self.error,
             "requeues": self.requeues,
-            "config_hash": self.request.config_hash,
-            "label": f"{self.request.app}:{self.request.n_vps}vps",
+            "config_hash": None,
+            "label": None,
         }
+        if self.request is not None:
+            payload["config_hash"] = self.request.config_hash
+            payload["label"] = f"{self.request.app}:{self.request.n_vps}vps"
         if include_request:
-            payload["request"] = self.request.to_dict()
+            payload["request"] = (
+                self.request.to_dict() if self.request is not None else None
+            )
         return payload
 
 
@@ -243,16 +250,18 @@ class ServiceQueue:
         if job is None:
             return _DEFAULT_ESTIMATE_MS
         return self._estimates.get(
-            self._estimate_key(job.request), _DEFAULT_ESTIMATE_MS
+            self._estimate_key(job), _DEFAULT_ESTIMATE_MS
         )
 
     @staticmethod
-    def _estimate_key(request: RunRequest) -> str:
+    def _estimate_key(job: ServiceJob) -> str:
+        request = job.request
+        assert request is not None, "only parsed requests are ever queued"
         return f"{request.app}:{request.n_vps}:{request.functional}"
 
     def observe_duration(self, job: ServiceJob, wall_s: float) -> None:
         """Feed one observed wall time into the per-shape EMA."""
-        key = self._estimate_key(job.request)
+        key = self._estimate_key(job)
         with self._lock:
             previous = self._estimates.get(key)
             value = wall_s * 1e3

@@ -174,10 +174,22 @@ class ServeDaemon:
             number = _job_number(job_id)
             if number is not None:
                 self._next_job_number = max(self._next_job_number, number + 1)
+            request: Optional[RunRequest] = None
             try:
                 request = RunRequest.from_dict(record["request"])
-            except RequestError:
-                continue  # journaled under an older schema; unrecoverable
+            except RequestError as exc:
+                # Journaled by a build that accepted it (an older schema
+                # or a since-removed name): keep the job visible to
+                # ``status`` as a fault rather than forgetting it.  The
+                # fault is re-derived on every replay, never journaled.
+                record = dict(
+                    record,
+                    state=JobState.FAULTED,
+                    value=None,
+                    digest=None,
+                    error={"code": exc.code, "message": exc.message},
+                    promoted_fault=False,
+                )
             job = ServiceJob(
                 job_id=job_id,
                 request=request,
@@ -325,6 +337,7 @@ class ServeDaemon:
                 self.queue.mark_finished(job)
                 self._finish(job, JobState.CANCELLED, error=None)
                 return True
+            assert job.request is not None, "only parsed requests are ever queued"
             parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.get_context("fork").Process(
                 target=_worker_main,

@@ -115,7 +115,7 @@ def _cnd(d: np.ndarray) -> np.ndarray:
     return np.where(d < 0, 1.0 - cnd, cnd)
 
 
-@functional_kernel("BlackScholes", batched=True)
+@functional_kernel("BlackScholes")
 def black_scholes_fn(
     spot: np.ndarray,
     strike: np.ndarray,

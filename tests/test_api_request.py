@@ -63,6 +63,17 @@ def test_validation_rejects_with_structured_code(overrides, code):
     assert excinfo.value.code == code
 
 
+def test_unknown_backend_rejected_with_known_names():
+    with pytest.raises(RequestError) as excinfo:
+        RunRequest(app="vectorAdd", backend="bogus")
+    assert excinfo.value.code == "bad-value"
+    assert "'bogus'" in excinfo.value.message
+    assert "cupy" in excinfo.value.message and "numpy" in excinfo.value.message
+    # Registered names pass, including ones unavailable on this host.
+    assert RunRequest(app="vectorAdd", backend="numpy").backend == "numpy"
+    assert RunRequest(app="vectorAdd", backend="cupy").backend == "cupy"
+
+
 def test_valid_shards_spellings():
     for shards in (2, "per-gpu", "per-vp-group", None):
         assert RunRequest(app="vectorAdd", shards=shards).shards == shards

@@ -29,10 +29,9 @@ from repro.sched.config import SchedulerConfig
 
 
 class TestRegistry:
-    def test_at_least_three_backends_registered(self):
+    def test_builtin_backends_registered(self):
         names = [name for name, _ in available_backends()]
-        assert len(names) >= 3
-        assert {"numpy", "numpy-batched", "cupy"} <= set(names)
+        assert {"numpy", "cupy"} <= set(names)
 
     def test_listing_is_sorted_with_descriptions(self):
         listing = available_backends()
@@ -40,43 +39,43 @@ class TestRegistry:
         assert all(desc for _, desc in listing)
 
     def test_unknown_name_raises_with_known_list(self):
-        with pytest.raises(ValueError, match="numpy-batched"):
+        with pytest.raises(ValueError, match="known: .*numpy"):
             make_backend("no-such-backend")
 
     def test_status_probes_without_requiring_availability(self):
         status = {row["name"]: row for row in backend_status()}
         assert status["numpy"]["available"] is True
         assert status["numpy"]["reason"] is None
-        assert status["numpy-batched"]["supports_batched"] is True
-        assert status["numpy"]["supports_batched"] is False
         assert status["numpy"]["zero_copy"] is True
+        assert status["cupy"]["available"] is False
+        assert status["cupy"]["zero_copy"] is False
 
     def test_capability_flags(self):
-        numpy_backend = make_backend("numpy")
-        batched = make_backend("numpy-batched")
-        assert numpy_backend.capabilities() == {
-            "supports_batched": False, "zero_copy": True, "available": True,
+        assert make_backend("numpy").capabilities() == {
+            "zero_copy": True, "available": True,
         }
-        assert batched.capabilities()["supports_batched"] is True
+        assert make_backend("cupy").capabilities() == {
+            "zero_copy": False, "available": False,
+        }
 
 
 class TestDefaultSelection:
     def test_builtin_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == DEFAULT_BACKEND_NAME == "numpy-batched"
+        assert default_backend_name() == DEFAULT_BACKEND_NAME == "numpy"
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
         assert default_backend_name() == "numpy"
 
     def test_setter_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy-batched")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "cupy")
         previous = set_default_backend("numpy")
         try:
             assert default_backend_name() == "numpy"
         finally:
             set_default_backend(previous)
-        assert default_backend_name() == "numpy-batched"
+        assert default_backend_name() == "cupy"
 
     def test_setter_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -166,21 +165,6 @@ class TestLaunch:
         out = backend.launch("vectorAdd", [backend.h2d(a), backend.h2d(b)])
         np.testing.assert_array_equal(out, a + b)
 
-    def test_launch_batched_requires_capability(self):
-        rows_plain = make_backend("numpy").launch_batched(
-            "vectorAdd", [(np.ones(4), np.ones(4))] * 3
-        )
-        assert rows_plain is None
-        rows = make_backend("numpy-batched").launch_batched(
-            "vectorAdd", [(np.ones(4), np.ones(4))] * 3
-        )
-        assert rows is not None and len(rows) == 3
-
-    def test_launch_batched_empty_batch_is_fallback(self):
-        assert make_backend("numpy-batched").launch_batched(
-            "vectorAdd", []
-        ) is None
-
 
 class TestAllocationLedger:
     def test_tokens_and_live_bytes(self):
@@ -208,7 +192,7 @@ class TestAllocationLedger:
 
 class TestObservabilityCounters:
     def test_backend_counters_under_capture(self):
-        backend = make_backend("numpy-batched")
+        backend = make_backend("numpy")
         a = np.arange(8, dtype=np.float32)
         with obs.capture() as cap:
             token = backend.allocate(a.nbytes)
@@ -221,9 +205,8 @@ class TestObservabilityCounters:
         assert snap["exec.backend_frees"]["value"] == 1
         assert snap["exec.backend_h2d"]["value"] == 1
         assert snap["exec.backend_d2h"]["value"] == 1
-        assert snap["exec.backend_launches"]["value"] == 1
-        assert snap["exec.backend_batched_launches"]["value"] == 1
-        assert snap["exec.backend_batched_members"]["value"] == 2
+        # launch_batched is N plain launches: one count per member.
+        assert snap["exec.backend_launches"]["value"] == 3
 
     def test_counters_cost_nothing_when_disabled(self):
         # No registry active: the guard path must simply not count.

@@ -1,25 +1,19 @@
-"""Batched (vectorized) execution of coalesced functional kernels.
+"""Functional execution of coalesced kernels.
 
-A coalesced launch merges N identical kernels; when the registered numpy
-implementation is replication-batchable, the dispatcher executes all N
-members as ONE call over ``(N, ...)`` stacked inputs.  The contract is
-strict bit-identity: for every flagged kernel, the stacked rows must
-equal N independent calls element for element and dtype for dtype, and
-an end-to-end run must produce the same simulation summary and numeric
-outputs whether batching is on or forced off.
+A coalesced launch merges N identical kernels into one host job; its
+functional effect is N backend launches, one per member, each over that
+member's own read-only device views.  The contract is strict
+bit-identity: every registered kernel reproduces N independent calls
+element for element and dtype for dtype, and an end-to-end run computes
+the same arrays with coalescing on or off.
 """
 
 import numpy as np
 import pytest
 
+from repro.backend import make_backend
 from repro.core.scenarios import run_sigma_vp
-from repro.kernels.functional import (
-    REGISTRY,
-    batching_enabled,
-    batching_scope,
-    run_batched,
-    set_batching_enabled,
-)
+from repro.kernels.functional import REGISTRY
 from repro.workloads import SUITE, get_workload
 
 N_MEMBERS = 3
@@ -32,6 +26,9 @@ EXTRA_INPUTS = {
     ),
 }
 
+#: Kernels that reshape to a fixed frame and so run at catalog size.
+FIXED_SHAPE = {"stereoDisparity"}
+
 
 def _member_inputs(signature):
     """N members' worth of realistic inputs plus the kernel's params."""
@@ -41,7 +38,8 @@ def _member_inputs(signature):
     for name in sorted(SUITE):
         spec = SUITE[name]
         if spec.kernel.signature == signature:
-            small = spec.scaled_to(min(spec.elements, 4096), iterations=1)
+            elements = spec.elements if signature in FIXED_SHAPE else 4096
+            small = spec.scaled_to(min(spec.elements, elements), iterations=1)
             members = [
                 tuple(small.build_inputs(seed=seed)) for seed in range(N_MEMBERS)
             ]
@@ -51,21 +49,23 @@ def _member_inputs(signature):
 
 @pytest.mark.parametrize("signature", REGISTRY.signatures())
 def test_every_registered_kernel_batches_or_is_excluded(signature):
-    """Flagged kernels: one stacked call == N calls, bit for bit.
+    """Every registered kernel serves a coalesced batch; none is excluded.
 
-    Unflagged kernels are asserted excluded — the registry flag is the
-    dispatcher's only gate, so a kernel that reduces, reshapes, or draws
-    shape-dependent randomness must never be marked batchable without
-    also passing the equivalence arm of this test.
+    Each member runs as its own launch over zero-copy read-only views,
+    the way the dispatcher applies a merged job, so each output must
+    equal an independent direct call bit for bit — and a kernel that
+    mutated its inputs would fail here with a read-only ``ValueError``.
     """
     fn = REGISTRY.require(signature)
-    if not REGISTRY.is_batched(signature):
-        assert signature not in REGISTRY.batched_signatures()
-        return
     members, params = _member_inputs(signature)
     expected = [fn(*inputs, **params) for inputs in members]
-    rows = run_batched(fn, members, params)
-    assert rows is not None, f"{signature}: flagged batched but refused to batch"
+    backend = make_backend("numpy")
+    rows = [
+        backend.d2h(
+            backend.launch(signature, [backend.h2d(a) for a in inputs], params)
+        )
+        for inputs in members
+    ]
     assert len(rows) == N_MEMBERS
     for row, reference in zip(rows, expected):
         assert row.dtype == reference.dtype
@@ -73,72 +73,35 @@ def test_every_registered_kernel_batches_or_is_excluded(signature):
         np.testing.assert_array_equal(row, reference)
 
 
-# -- run_batched preconditions (fallback triggers) ---------------------------
+def _vp_outputs(result):
+    """Every VP's functional output, in VP order."""
+    framework = result.extras["framework"]
+    return [
+        process.value
+        for name in sorted(framework.sessions)
+        for process in framework.session(name).processes
+    ]
 
 
-def test_run_batched_rejects_empty_and_argless():
-    assert run_batched(np.add, [], {}) is None
-    assert run_batched(lambda: np.zeros(3), [(), (), ()], {}) is None
+@pytest.mark.parametrize(
+    "app", ["vectorAdd", "BlackScholes", "mergeSort", "physxParticles"]
+)
+def test_coalesced_matches_uncoalesced(app):
+    spec = get_workload(app).scaled_to(2048, iterations=2)
 
+    coalesced = run_sigma_vp(spec, n_vps=8, coalescing=True, functional=True)
+    uncoalesced = run_sigma_vp(spec, n_vps=8, coalescing=False, functional=True)
+    assert coalesced.extras["coalesce_stats"].merges >= 1
+    assert uncoalesced.extras["coalesce_stats"] is None
 
-def test_run_batched_rejects_nonuniform_shapes():
-    a, b = np.zeros(4), np.zeros(4)
-    odd = np.zeros(5)
-    assert run_batched(np.add, [(a, b), (odd, odd)], {}) is None
+    want = uncoalesced.extras["result"]
+    got = coalesced.extras["result"]
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
-
-def test_run_batched_rejects_nonuniform_dtypes():
-    f32 = np.zeros(4, dtype=np.float32)
-    f64 = np.zeros(4, dtype=np.float64)
-    assert run_batched(np.add, [(f32, f32), (f64, f64)], {}) is None
-
-
-def test_run_batched_rejects_leading_axis_loss():
-    # A reduction collapses the member axis: the helper must notice the
-    # output no longer has one row per member and refuse.
-    assert run_batched(lambda x: np.sum(x), [(np.ones(4),), (np.ones(4),)], {}) is None
-
-
-def test_batching_scope_restores_state():
-    assert batching_enabled()
-    with batching_scope(False):
-        assert not batching_enabled()
-        previous = set_batching_enabled(True)
-        assert previous is False
-        set_batching_enabled(False)
-    assert batching_enabled()
-
-
-# -- end-to-end: dispatcher batch path vs per-VP fallback ---------------------
-
-
-@pytest.mark.parametrize("app", ["vectorAdd", "BlackScholes"])
-def test_sigma_vp_batched_matches_fallback(app):
-    spec = get_workload(app).scaled_to(2048, iterations=1)
-
-    batched = run_sigma_vp(spec, n_vps=8, coalescing=True, functional=True)
-    stats = batched.extras["framework"].dispatcher.stats
-    assert stats.batched_launches > 0
-    assert stats.batched_members >= 2 * stats.batched_launches
-    assert stats.fallback_launches == 0
-
-    with batching_scope(False):
-        fallback = run_sigma_vp(spec, n_vps=8, coalescing=True, functional=True)
-    fb_stats = fallback.extras["framework"].dispatcher.stats
-    assert fb_stats.batched_launches == 0
-    assert fb_stats.fallback_launches > 0
-
-    assert batched.summary() == fallback.summary()
-    np.testing.assert_array_equal(
-        batched.extras["result"], fallback.extras["result"]
-    )
-
-
-def test_unbatchable_kernel_uses_fallback():
-    # mergeSort is coalescible but registered unbatched (sorting is not
-    # replication-batchable in general): merged members execute per-VP.
-    spec = get_workload("mergeSort").scaled_to(2048, iterations=1)
-    result = run_sigma_vp(spec, n_vps=4, coalescing=True, functional=True)
-    stats = result.extras["framework"].dispatcher.stats
-    assert stats.batched_launches == 0
-    assert stats.fallback_launches > 0
+    pairs = list(zip(_vp_outputs(coalesced), _vp_outputs(uncoalesced)))
+    assert len(pairs) == 8
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

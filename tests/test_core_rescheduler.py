@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.jobs import Job, JobKind
-from repro.core.rescheduler import (
+from repro.sched import (
     EngineBacklog,
     FIFOPolicy,
     InterleavingPolicy,

@@ -227,6 +227,21 @@ def test_malformed_and_unknown_frames_get_structured_errors(state_dir):
         assert excinfo.value.code == "unknown-job"
 
 
+def test_submit_with_unregistered_backend_is_rejected_unjournaled(state_dir):
+    with _daemon(state_dir) as daemon, _connect(daemon) as client:
+        frame = client.request(
+            "submit", timeout=10.0,
+            request={"app": "vectorAdd", "backend": "bogus"},
+        )
+        assert frame["ok"] is False
+        assert frame["error"]["code"] == "bad-value"
+        assert "numpy" in frame["error"]["message"]
+        assert client.stats()["journal_records"] == 0
+        assert client.jobs() == []
+    journal = state_dir / "journal.jsonl"
+    assert not journal.exists() or journal.read_text() == ""
+
+
 # -- queue unit behavior ---------------------------------------------------------
 
 
@@ -305,6 +320,26 @@ def test_replay_promotes_mid_run_job_to_faulted(state_dir):
     assert daemon2._jobs["job-000001"].state is JobState.FAULTED
     records = (state_dir / "journal.jsonl").read_text().splitlines()
     assert sum(1 for r in records if '"type":"fault"' in r) == 1
+
+
+def test_replay_faults_a_journaled_request_that_no_longer_parses(state_dir):
+    # A backend name an older build accepted and this one has removed.
+    stale = dict(SMALL.to_dict(), backend="retired-backend")
+    with Journal(state_dir / "journal.jsonl", fsync=False) as journal:
+        journal.append({
+            "type": "submit", "job_id": "job-000001", "request": stale,
+            "tenant": "default", "qos": None, "seq": 0,
+        })
+        journal.append({"type": "start", "job_id": "job-000001"})
+    with _daemon(state_dir) as daemon, _connect(daemon) as client:
+        assert daemon.recovery["resumed"] == 0
+        assert daemon.recovery["faulted"] == 0  # nothing new journaled
+        status = client.status("job-000001")
+        assert status["state"] == "faulted"
+        assert status["error"]["code"] == "bad-value"
+        assert "retired-backend" in status["error"]["message"]
+        assert status["request"] is None and status["config_hash"] is None
+        assert client.submit(SMALL)["job_id"] == "job-000002"
 
 
 def test_replay_ignores_torn_tail(state_dir):

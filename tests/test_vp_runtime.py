@@ -8,10 +8,10 @@ from repro.core.ipc import IPCManager, SHARED_MEMORY
 from repro.core.jobs import JobQueue
 from repro.core.dispatcher import JobDispatcher, ServiceMode
 from repro.core.profiler import Profiler
-from repro.core.rescheduler import FIFOPolicy
 from repro.gpu import HostGPU, QUADRO_4000
 from repro.kernels import LaunchConfig, MemoryFootprint, uniform_kernel
 from repro.kernels.functional import REGISTRY
+from repro.sched import FIFOPolicy
 from repro.sim import Environment
 from repro.vp import (
     CudaRuntime,
